@@ -80,7 +80,38 @@ class Pipe:
     jitter:
         Optional callable returning a non-negative ns jitter to add to
         each packet's propagation (e.g. ``lambda: rng.randrange(5_000)``).
+
+    A topology builds a pipe per direction for every host pair, and most
+    of them never carry a packet, so a pipe is slotted and creates its
+    departure and arrival queues on first use.
     """
+
+    __slots__ = (
+        "_sim",
+        "name",
+        "_prop_delay",
+        "_bandwidth_bps",
+        "_bandwidth_override",
+        "_queue_capacity",
+        "_jitter",
+        "_extra_jitter",
+        "_extra_delay",
+        "_drop_prob",
+        "_partitioned",
+        "_loss_rng",
+        "_wire_free_at",
+        "_last_arrival",
+        "_eff_bw",
+        "_total_delay",
+        "_cold",
+        "_departures",
+        "_arrivals",
+        "_pump_armed",
+        "stats",
+        "_deliver",
+        "_deliver_batch",
+        "_slab",
+    )
 
     def __init__(
         self,
@@ -118,7 +149,8 @@ class Pipe:
         self._cold = jitter is not None
         # Departure times of packets still occupying the queue/wire;
         # drained lazily in send() instead of with per-packet events.
-        self._departures: Deque[int] = deque()
+        # Created by the first send on a finite-bandwidth wire.
+        self._departures: Optional[Deque[int]] = None
         # The delivery pump: packets in flight wait in this deque as
         # (arrival, reserved seq, packet) and exactly one engine event —
         # armed for the head entry — is outstanding per pipe.  Arrivals
@@ -126,7 +158,8 @@ class Pipe:
         # next delivery; each packet's tie-breaking seq is reserved at
         # send time, which keeps event order byte-identical to the old
         # one-event-per-packet scheme while the heap stays O(pipes).
-        self._arrivals: Deque[tuple] = deque()
+        # Created by the first accepted send.
+        self._arrivals: Optional[Deque[tuple]] = None
         self._pump_armed = False
         self.stats = PipeStats()
         self._deliver: Optional[Callable[[Packet], None]] = None
@@ -306,6 +339,8 @@ class Pipe:
             departure = now
         else:
             departures = self._departures
+            if departures is None:
+                departures = self._departures = deque()
             while departures and departures[0] <= now:
                 departures.popleft()
             if len(departures) >= self._queue_capacity:
@@ -342,7 +377,10 @@ class Pipe:
         # per-packet call site in the simulation.)
         seq = sim._seq + 1
         sim._seq = seq
-        self._arrivals.append((arrival, seq, packet))
+        arrivals = self._arrivals
+        if arrivals is None:
+            arrivals = self._arrivals = deque()
+        arrivals.append((arrival, seq, packet))
         parked = sim._parked + 1
         sim._parked = parked
         load = len(sim._queue) - sim._tombstones + sim._run_pending + parked
@@ -388,7 +426,10 @@ class Pipe:
             arrival = self._last_arrival
         self._last_arrival = arrival
         seq = sim.reserve_seq_block(n)
-        self._arrivals.extend(
+        arrivals = self._arrivals
+        if arrivals is None:
+            arrivals = self._arrivals = deque()
+        arrivals.extend(
             zip(_repeat(arrival, n), range(seq, seq + n), handles)
         )
         sim.note_parked(n)
@@ -562,4 +603,5 @@ class Pipe:
     @property
     def in_flight(self) -> int:
         """Packets sent but not yet delivered (pump queue depth)."""
-        return len(self._arrivals)
+        arrivals = self._arrivals
+        return 0 if arrivals is None else len(arrivals)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ensemble import EnsembleConfig, EnsembleTimeout, default_timeouts
+from repro.core.ensemble import (
+    EnsembleConfig,
+    EnsembleTimeout,
+    default_timeouts,
+    detect_cliff_index,
+)
 from repro.units import MICROSECONDS, MILLISECONDS
 
 
@@ -88,7 +93,28 @@ class TestSampleCounting:
         assert max(ensemble.sample_counts()) < 25
 
 
+def reference_cliff(counts):
+    """The pseudocode's ``argmaxᵢ Nᵢ / Nᵢ₊₁``, spelled literally.
+
+    A zero ``Nᵢ₊₁`` divides by 1, and ``list.index`` hands ties to the
+    lowest index.
+    """
+    ratios = [n / (m if m > 0 else 1) for n, m in zip(counts, counts[1:])]
+    return ratios.index(max(ratios))
+
+
 class TestCliffDetection:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=0, max_value=10_000), min_size=2, max_size=12)
+    )
+    def test_detector_matches_literal_reference(self, counts):
+        assert detect_cliff_index(counts) == reference_cliff(counts)
+
+    def test_ties_go_to_lowest_index(self):
+        assert detect_cliff_index([4, 4, 4]) == 0
+        assert detect_cliff_index([4, 1, 16, 1]) == 2
+
     def test_cliff_picks_largest_adjacent_drop(self):
         ensemble = EnsembleTimeout(EnsembleConfig(timeouts=[10, 20, 40, 80]))
         ensemble._counts = [50, 40, 38, 1]

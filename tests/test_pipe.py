@@ -1,12 +1,17 @@
 """Pipe: delay, serialization, queueing, injection, ordering."""
 
+import random
+
 import pytest
 
 from repro.errors import NetworkError
+from repro.faults import parse_faults
+from repro.harness.config import PolicyName, ScenarioConfig
+from repro.harness.runner import run_scenario
 from repro.net.addr import Endpoint
-from repro.net.packet import HEADER_BYTES, Packet
+from repro.net.packet import HEADER_BYTES, Packet, PacketSlab
 from repro.net.pipe import Pipe
-from repro.units import MICROSECONDS, serialization_delay
+from repro.units import MICROSECONDS, MILLISECONDS, serialization_delay
 
 
 def make_packet(payload=0):
@@ -239,3 +244,132 @@ class TestDeliveryPump:
         sim.run()
         assert pipe.stats.packets_delivered == 5
         assert pipe.stats.bytes_delivered == 5 * (HEADER_BYTES + 10)
+
+
+def slab_handle(slab, payload=0):
+    src = slab.intern_endpoint(Endpoint("a", 1))
+    dst = slab.intern_endpoint(Endpoint("b", 2))
+    return slab.alloc(src, dst, slab.intern_flow(src, dst), 0, 0, 0, payload, None, 0)
+
+
+class TestFirstUse:
+    """A pipe's queues appear on its first send; nothing else changes.
+
+    Each test sends on a pipe that has never carried a packet, with one
+    knob in force, and checks the outcome the wire model prescribes.
+    (``TestQueueing`` already tail-drops on a fresh object-mode pipe.)
+    """
+
+    def test_never_used_pipe_has_nothing_in_flight(self, sim):
+        pipe, arrivals = connected_pipe(sim, prop_delay=100, bandwidth_bps=10**9)
+        pipe.set_partitioned(True)
+        pipe.set_partitioned(False)
+        assert pipe.in_flight == 0
+        sim.run()
+        assert arrivals == []
+        assert pipe.stats.packets_sent == 0
+
+    def test_first_send_into_partition_is_dropped(self, sim):
+        pipe, arrivals = connected_pipe(sim, prop_delay=100, bandwidth_bps=10**9)
+        pipe.set_partitioned(True)
+        assert not pipe.send(make_packet())
+        assert pipe.in_flight == 0
+        assert pipe.stats.packets_dropped_partition == 1
+        pipe.set_partitioned(False)
+        assert pipe.send(make_packet())
+        sim.run()
+        assert len(arrivals) == 1
+
+    def test_first_send_lost(self, sim):
+        pipe, arrivals = connected_pipe(sim, prop_delay=100, bandwidth_bps=None)
+        pipe.set_drop_prob(1.0, rng=random.Random(1))
+        assert not pipe.send(make_packet())
+        assert pipe.in_flight == 0
+        assert pipe.stats.packets_dropped_loss == 1
+        pipe.set_drop_prob(0.0)
+        assert pipe.send(make_packet())
+        sim.run()
+        assert [t for t, _ in arrivals] == [100]
+
+    def test_first_send_jittered(self, sim):
+        pipe, arrivals = connected_pipe(sim, prop_delay=100, bandwidth_bps=None)
+        pipe.set_extra_jitter(lambda: 70)
+        assert pipe.send(make_packet())
+        assert pipe.in_flight == 1
+        sim.run()
+        assert [t for t, _ in arrivals] == [170]
+
+    def test_first_send_under_bandwidth_override(self, sim):
+        slow = 10**6
+        pipe, arrivals = connected_pipe(
+            sim, prop_delay=100, bandwidth_bps=None, queue_capacity=1
+        )
+        pipe.set_bandwidth_override(slow)
+        pkt = make_packet(payload=100)
+        assert pipe.send(pkt)
+        assert not pipe.send(make_packet(payload=100))  # wire busy, queue full
+        sim.run()
+        assert arrivals == [(serialization_delay(pkt.size_bytes, slow) + 100, pkt)]
+
+    @pytest.mark.parametrize("knob", ["partition", "loss", "tail_drop"])
+    def test_first_send_drop_frees_slab_handle(self, sim, knob):
+        slab = PacketSlab()
+        pipe = Pipe(
+            sim, "a->b", prop_delay=100, bandwidth_bps=10**9,
+            queue_capacity=1, slab=slab,
+        )
+        pipe.connect(slab.free)
+        if knob == "partition":
+            pipe.set_partitioned(True)
+        elif knob == "loss":
+            pipe.set_drop_prob(1.0, rng=random.Random(1))
+        else:
+            assert pipe.send(slab_handle(slab))
+        assert not pipe.send(slab_handle(slab))
+        assert slab.live == pipe.in_flight == sim.parked_packets
+        sim.run()
+        assert slab.live == 0
+
+    def test_first_send_batch_on_ideal_link(self, sim):
+        slab = PacketSlab()
+        pipe = Pipe(sim, "a->b", prop_delay=100, slab=slab)
+        delivered = []
+        pipe.connect(lambda h: delivered.append((sim.now, h)))
+        handles = [slab_handle(slab, payload=10) for _ in range(3)]
+        assert pipe.send_batch(handles) == 3
+        assert pipe.in_flight == 3
+        assert pipe.stats.bytes_sent == 3 * (HEADER_BYTES + 10)
+        sim.run()
+        assert delivered == [(100, h) for h in handles]
+
+    def test_first_send_batch_on_wire_tail_drops(self, sim):
+        slab = PacketSlab()
+        pipe = Pipe(
+            sim, "a->b", prop_delay=100, bandwidth_bps=10**9,
+            queue_capacity=2, slab=slab,
+        )
+        pipe.connect(slab.free)
+        assert pipe.send_batch([slab_handle(slab) for _ in range(3)]) == 2
+        assert pipe.stats.packets_dropped_queue == 1
+        assert slab.live == pipe.in_flight == 2
+        sim.run()
+        assert slab.live == 0
+
+
+def test_slab_holds_only_parked_packets_after_fig3_run():
+    """Resource hygiene: at cutoff every live slab handle is a packet
+    still parked in some pipe's arrival queue."""
+    duration = 300 * MILLISECONDS
+    config = ScenarioConfig(
+        seed=1,
+        duration=duration,
+        n_clients=1,
+        n_servers=2,
+        policy=PolicyName.FEEDBACK,
+        faults=parse_faults("fig3", duration),
+        warmup=duration // 10,
+    )
+    scenario = run_scenario(config).scenario
+    pipes = scenario.network.pipes().values()
+    assert scenario.network.slab.live == scenario.sim.parked_packets
+    assert scenario.sim.parked_packets == sum(p.in_flight for p in pipes)

@@ -9,16 +9,11 @@ reports.  These tests pin that equivalence:
 
 * slab-vs-object: a full scenario run twice, differing only in
   ``ScenarioConfig.slab``, must render the identical report;
-* numpy-vs-python: the vectorized cliff detector against the reference
-  loop (and the auto-selection that picks between them);
 * batch-vs-loop: ``EnsembleTimeout.observe_batch`` and
   ``BackendLatencyEstimator.observe_batch`` against their per-sample
   spellings;
 * leak-freedom: every slab record allocated during a run is either
   freed or still parked in a pipe at cutoff — nothing dangles.
-
-The whole module must pass with and without numpy installed (the
-no-numpy CI leg runs it with the import blocked).
 """
 
 import random
@@ -27,14 +22,7 @@ import re
 import pytest
 
 from repro import units
-from repro.core.ensemble import (
-    EnsembleConfig,
-    EnsembleTimeout,
-    _cliff_numpy,
-    _cliff_python,
-    _np,
-    detect_cliff_index,
-)
+from repro.core.ensemble import EnsembleConfig, EnsembleTimeout
 from repro.core.estimator import BackendLatencyEstimator, EstimatorConfig
 from repro.faults import DelayFault, parse_faults
 from repro.harness.config import PolicyName, ScenarioConfig
@@ -142,37 +130,6 @@ class TestSlabVsObject:
         )
         with open(golden) as handle:
             assert report == handle.read().rstrip("\n")
-
-
-class TestCliffVectorization:
-    def _cases(self):
-        rng = random.Random(11)
-        cases = [
-            [10, 10, 10, 10],          # flat: index 0 wins ties
-            [0, 0, 0, 1],              # zeros guarded by max(·, 1)
-            [5, 0, 0, 0],
-            [1000, 999, 3, 2, 1],      # the paper's cliff shape
-            [1, 2, 3, 4, 5],           # monotone increasing
-        ]
-        for _ in range(200):
-            k = rng.randint(2, 9)
-            cases.append([rng.randint(0, 50) for _ in range(k)])
-        return cases
-
-    @pytest.mark.skipif(_np is None, reason="numpy not installed")
-    def test_numpy_matches_python(self):
-        for counts in self._cases():
-            assert _cliff_numpy(counts) == _cliff_python(counts), counts
-
-    def test_auto_selection(self):
-        expected = _cliff_python if _np is None else _cliff_numpy
-        assert detect_cliff_index is expected
-
-    def test_python_reference_shape(self):
-        # First strictly-greater ratio wins; ties resolve to the lowest
-        # index (the property argmax must reproduce).
-        assert _cliff_python([4, 4, 4]) == 0
-        assert _cliff_python([4, 1, 16, 1]) == 2
 
 
 def _gap_trace(n=5_000, seed=7):
