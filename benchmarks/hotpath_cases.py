@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 from repro.core.ensemble import EnsembleConfig, EnsembleTimeout
 from repro.net.addr import Endpoint
-from repro.net.packet import Packet, PacketSlab
+from repro.net.packet import PacketSlab
 from repro.net.pipe import Pipe
 from repro.sim.engine import Simulator
 from repro.units import GIGABITS_PER_SECOND, MICROSECONDS
@@ -49,27 +49,6 @@ def run_engine_handle_events(n: int = 10_000) -> Tuple[int, float]:
     return n, seconds
 
 
-def run_engine_run_lane(n: int = 1_000_000) -> Tuple[int, float]:
-    """Drain an ``n``-event sorted column through the run lane.
-
-    ``schedule_fire_many`` stores the whole column as one run-lane entry
-    (no per-event heap pushes), so this measures raw dispatch: the
-    engine's ceiling for the batched shapes the slab dataplane produces.
-    """
-    sim = Simulator()
-    noop = _noop
-    start = time.perf_counter()
-    sim.schedule_fire_many(range(n), noop)
-    sim.run()
-    seconds = time.perf_counter() - start
-    assert sim.events_processed == n
-    return n, seconds
-
-
-def _noop() -> None:
-    return None
-
-
 def make_gap_trace(n: int = 100_000, seed: int = 7) -> List[int]:
     """Arrival times whose gaps straddle the paper's δ ladder.
 
@@ -88,10 +67,15 @@ def make_gap_trace(n: int = 100_000, seed: int = 7) -> List[int]:
 
 
 def run_ensemble_observe(
-    trace: List[int], fused: bool = True
+    trace: List[int], ensemble_cls=EnsembleTimeout
 ) -> Tuple[int, float]:
-    """Feed ``trace`` through one EnsembleTimeout; returns (packets, s)."""
-    ensemble = EnsembleTimeout(EnsembleConfig(), fused=fused)
+    """Feed ``trace`` through one ensemble; returns (packets, s).
+
+    ``ensemble_cls`` defaults to the production ``EnsembleTimeout``; the
+    hot-path bench passes the test suite's literal Algorithm 2 oracle to
+    measure what the fused implementation saves.
+    """
+    ensemble = ensemble_cls(EnsembleConfig())
     observe = ensemble.observe
     start = time.perf_counter()
     for now in trace:
@@ -110,69 +94,28 @@ def run_pipe_stream(
     of O(packets in flight).
     """
     sim = Simulator()
+    slab = PacketSlab()
     pipe = Pipe(
         sim,
         "bench",
         prop_delay=10 * MICROSECONDS,
         bandwidth_bps=10 * GIGABITS_PER_SECOND,
+        slab=slab,
     )
-    delivered: List[Packet] = []
+    delivered: List[int] = []
     pipe.connect(delivered.append)
-    src, dst = Endpoint("a", 1), Endpoint("b", 2)
+    src_i = slab.intern_endpoint(Endpoint("a", 1))
+    dst_i = slab.intern_endpoint(Endpoint("b", 2))
+    fid = slab.intern_flow(src_i, dst_i)
+    alloc = slab.alloc
     start = time.perf_counter()
     for _ in range(batches):
         for _ in range(packets):
-            pipe.send(Packet(src=src, dst=dst, payload_len=100))
+            pipe.send(alloc(src_i, dst_i, fid, 0, 0, 0, 100, None, 0))
         sim.run()
     seconds = time.perf_counter() - start
     assert len(delivered) == packets * batches
     return len(delivered), seconds, sim.peak_queue_depth
-
-
-def run_pipe_stream_slab(
-    packets: int = 10_000, batches: int = 5
-) -> Tuple[int, float, int]:
-    """Slab-mode pipe stream: alloc_batch → send_batch → bulk drain → free.
-
-    Same shape as :func:`run_pipe_stream` but through the slab
-    dataplane's vectorized seams: array-structured packet records
-    (integer handles) allocated per wave, sent as one batch, delivered
-    by the pump's bulk same-instant drain into a batch receiver, and
-    recycled wholesale.  This is the slab dataplane's packet ceiling
-    the CI gate tracks.
-    """
-    sim = Simulator()
-    slab = PacketSlab()
-    pipe = Pipe(sim, "bench", prop_delay=10 * MICROSECONDS, slab=slab)
-    src_i = slab.intern_endpoint(Endpoint("a", 1))
-    dst_i = slab.intern_endpoint(Endpoint("b", 2))
-    fid = slab.intern_flow(src_i, dst_i)
-    count = [0]
-    free = slab.free
-    free_batch = slab.free_batch
-
-    def deliver(handle: int) -> None:
-        count[0] += 1
-        free(handle)
-
-    def deliver_batch(handles: List[int]) -> None:
-        count[0] += len(handles)
-        free_batch(handles)
-
-    pipe.connect(deliver)
-    pipe.connect_batch(deliver_batch)
-    alloc_batch = slab.alloc_batch
-    send_batch = pipe.send_batch
-    seqs = range(packets)
-    start = time.perf_counter()
-    for _ in range(batches):
-        send_batch(alloc_batch(src_i, dst_i, fid, 0, seqs, 0, 100, None, 0))
-        sim.run()
-    seconds = time.perf_counter() - start
-    assert count[0] == packets * batches
-    assert slab.live == 0
-    assert sim.events_processed == packets * batches
-    return count[0], seconds, sim.peak_queue_depth
 
 
 def run_fleet_elastic_1k() -> Tuple[int, float, int]:

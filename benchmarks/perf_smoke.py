@@ -30,11 +30,9 @@ from hotpath_cases import (  # noqa: E402
     make_gap_trace,
     run_engine_fire_events,
     run_engine_handle_events,
-    run_engine_run_lane,
     run_ensemble_observe,
     run_fleet_elastic_1k,
     run_pipe_stream,
-    run_pipe_stream_slab,
 )
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent / "BENCH_engine.json"
@@ -56,15 +54,8 @@ def measure(fleet: bool = True) -> dict:
     rates = {
         "engine_fire_10k": _best_rate(run_engine_fire_events),
         "engine_handle_10k": _best_rate(run_engine_handle_events),
-        "engine_run_lane_1m": _best_rate(run_engine_run_lane),
-        "ensemble_observe_fused_100k": _best_rate(
-            run_ensemble_observe, trace, fused=True
-        ),
-        "ensemble_observe_naive_100k": _best_rate(
-            run_ensemble_observe, trace, fused=False
-        ),
+        "ensemble_observe_fused_100k": _best_rate(run_ensemble_observe, trace),
         "pipe_pump_10x1k": _best_rate(run_pipe_stream),
-        "pipe_slab_5x10k": _best_rate(run_pipe_stream_slab),
     }
     if fleet:
         # End-to-end arm: every layer at once (transport, slab dataplane,

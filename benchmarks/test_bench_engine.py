@@ -8,18 +8,15 @@ is the baseline the CI ``perf-smoke`` job gates against.
 """
 
 from conftest import record_perf
-from hotpath_cases import (
-    run_engine_fire_events,
-    run_engine_handle_events,
-    run_engine_run_lane,
-)
+from hotpath_cases import run_engine_fire_events, run_engine_handle_events
 
 from repro.net.addr import Endpoint
 from repro.net.network import Network
-from repro.net.packet import Packet
+from repro.net.packet import Packet, PacketSlab
 from repro.net.pipe import Pipe
 from repro.sim.engine import Simulator, Timer
 from repro.units import GIGABITS_PER_SECOND, MICROSECONDS
+from tests.conftest import load_packet
 
 
 class TestEventLoop:
@@ -98,27 +95,26 @@ class TestRecordedBaseline:
         entry = self._record("engine_handle_10k", run_engine_handle_events)
         assert entry["events_per_sec"] > 0
 
-    def test_record_engine_run_lane_per_sec(self):
-        """Raw dispatch ceiling: a 1M-event sorted column, no heap."""
-        entry = self._record("engine_run_lane_1m", run_engine_run_lane)
-        assert entry["events_per_sec"] > 0
-
 
 class TestPacketPath:
     def test_pipe_transit_1k_packets(self, benchmark):
         def run():
             sim = Simulator()
+            slab = PacketSlab()
             pipe = Pipe(
                 sim,
                 "bench",
                 prop_delay=10 * MICROSECONDS,
                 bandwidth_bps=10 * GIGABITS_PER_SECOND,
+                slab=slab,
             )
             delivered = []
             pipe.connect(lambda pkt: delivered.append(pkt))
             src, dst = Endpoint("a", 1), Endpoint("b", 2)
             for _ in range(1_000):
-                pipe.send(Packet(src=src, dst=dst, payload_len=100))
+                pipe.send(
+                    load_packet(slab, Packet(src=src, dst=dst, payload_len=100))
+                )
             sim.run()
             return len(delivered)
 
@@ -147,7 +143,9 @@ class TestPacketPath:
         src, dst = Endpoint("source", 1), Endpoint("sink", 2)
 
         def send_and_drain():
-            network.send_from("source", Packet(src=src, dst=dst))
+            network.send_from(
+                "source", load_packet(network.slab, Packet(src=src, dst=dst))
+            )
             sim.run()
 
         benchmark(send_and_drain)

@@ -24,11 +24,11 @@ DESIGN.md §5):
   timeout is the *smallest* δ (configurable) — matching the paper's
   observation that low timeouts at least keep producing samples.
 
-Fused fast path
----------------
+Fused implementation
+--------------------
 
 ``observe`` is called for **every** packet the LB forwards, which makes
-it the hottest Python in the reproduction.  The naive implementation
+it the hottest Python in the reproduction.  The literal pseudocode
 walks all *k* FIXEDTIMEOUT instances per packet, but the ensemble's
 structure makes most of that work redundant: the δ ladder is sorted
 ascending, so for an inter-packet gap *g*,
@@ -40,19 +40,19 @@ prefix of the ladder whose length is one :func:`bisect.bisect_left`
 (O(log k)), and only those ``rolled`` instances need their batch state
 touched.  A mid-batch packet (``g ≤ δ₁``, the overwhelmingly common
 case) is O(1): nothing rolls.  Since every instance shares the same
-``time_last_pkt``, the fused path keeps one shared last-packet stamp
+``time_last_pkt``, the fused form keeps one shared last-packet stamp
 plus flat per-instance arrays instead of *k* objects.
 
-The naive per-instance path is preserved behind
-``EnsembleTimeout(..., fused=False)`` so differential tests can verify
-the two produce byte-identical samples, counts, and cliff choices.
+The literal k-instance loop lives in the test suite as an oracle; a
+property test checks that both produce identical samples, counts, and
+cliff choices.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.fixed_timeout import FixedTimeout
 from repro.units import MICROSECONDS, MILLISECONDS
@@ -108,18 +108,12 @@ class EnsembleTimeout:
 
     ``observe(now)`` is called for every packet of the flow arriving at
     the LB and returns a ``T_LB`` sample when the *currently selected*
-    timeout's FIXEDTIMEOUT instance produced one, else None.
-
-    ``fused=True`` (the default) uses the O(log k) prefix-roll fast path
-    documented in the module docstring; ``fused=False`` runs the literal
-    k FIXEDTIMEOUT instances from the pseudocode.  Both paths produce
-    identical samples, :meth:`sample_counts`, and ``cliff_history``.
+    timeout's FIXEDTIMEOUT instance produced one, else None, using the
+    O(log k) prefix-roll documented in the module docstring.
     """
 
     __slots__ = (
         "config",
-        "fused",
-        "_instances",
         "_deltas",
         "_last_batch",
         "_last_pkt",
@@ -132,22 +126,17 @@ class EnsembleTimeout:
         "cliff_history",
     )
 
-    def __init__(self, config: Optional[EnsembleConfig] = None, fused: bool = True):
+    def __init__(self, config: Optional[EnsembleConfig] = None):
         self.config = config or EnsembleConfig()
         self.config.validate()
-        self.fused = fused
         self._deltas = list(self.config.timeouts)
         # Cached once: observe() reads the epoch length per packet and
         # the config is immutable after validate().
         self._epoch_len = self.config.epoch
         k = len(self._deltas)
-        if fused:
-            self._instances = None
-            self._last_batch: List[int] = [0] * k
-            self._last_pkt: Optional[int] = None
-            self._samples_produced = [0] * k
-        else:
-            self._instances = [FixedTimeout(delta) for delta in self._deltas]
+        self._last_batch: List[int] = [0] * k
+        self._last_pkt: Optional[int] = None
+        self._samples_produced = [0] * k
         self._counts = [0] * k
         self._epoch_start: Optional[int] = None
         self._current = self.config.initial_index
@@ -167,15 +156,12 @@ class EnsembleTimeout:
 
     @property
     def instances(self) -> List[FixedTimeout]:
-        """Per-timeout FIXEDTIMEOUT state (views when fused).
+        """Per-timeout FIXEDTIMEOUT state, as snapshots.
 
-        In naive mode these are the live Algorithm 1 instances; in fused
-        mode equivalent snapshots are materialized on demand, so
-        introspection and differential tests can compare state without
+        Equivalent Algorithm 1 instances are materialized on demand, so
+        introspection and the oracle tests can compare state without
         slowing the hot path.
         """
-        if self._instances is not None:
-            return list(self._instances)
         views = []
         for i, delta in enumerate(self._deltas):
             view = FixedTimeout(delta)
@@ -204,9 +190,6 @@ class EnsembleTimeout:
         elif now - epoch_start >= self._epoch_len:
             self._end_epoch(now)
 
-        if not self.fused:
-            return self._observe_naive(now)
-
         last_pkt = self._last_pkt
         self._last_pkt = now
         if last_pkt is None:
@@ -234,56 +217,6 @@ class EnsembleTimeout:
             counts[i] += 1
             samples[i] += 1
             last_batch[i] = now
-        return result
-
-    def observe_batch(self, times: Sequence[int]) -> List[Tuple[int, int]]:
-        """Feed a sorted burst of packet arrivals at once.
-
-        Returns the emitted samples as ``(time, t_lb)`` pairs — exactly
-        the non-None results of calling :meth:`observe` per time, in
-        order.  The win over the loop-of-calls spelling is that the
-        overwhelmingly common case (fused mode, mid-batch packet, no
-        epoch boundary) is recognized with hoisted locals and no method
-        call; everything else falls through to :meth:`observe`, so the
-        two spellings are byte-identical by construction.
-        """
-        out: List[Tuple[int, int]] = []
-        append = out.append
-        observe = self.observe
-        if self.fused:
-            epoch = self._epoch_len
-            d0 = self._deltas[0]
-            for now in times:
-                epoch_start = self._epoch_start
-                last_pkt = self._last_pkt
-                if (
-                    epoch_start is not None
-                    and last_pkt is not None
-                    and now - epoch_start < epoch
-                    and now - last_pkt <= d0
-                ):
-                    # Mid-batch for every δ, mid-epoch: nothing rolls.
-                    self._last_pkt = now
-                    continue
-                t_lb = observe(now)
-                if t_lb is not None:
-                    append((now, t_lb))
-        else:
-            for now in times:
-                t_lb = observe(now)
-                if t_lb is not None:
-                    append((now, t_lb))
-        return out
-
-    def _observe_naive(self, now: int) -> Optional[int]:
-        """The literal Algorithm 2 inner loop (reference implementation)."""
-        result: Optional[int] = None
-        for index, instance in enumerate(self._instances):
-            t_lb = instance.observe(now)
-            if t_lb is not None:
-                self._counts[index] += 1
-                if index == self._current:
-                    result = t_lb
         return result
 
     def _end_epoch(self, now: int) -> None:

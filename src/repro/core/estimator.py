@@ -117,41 +117,6 @@ class BackendLatencyEstimator:
             if t_lb > 0:  # the log-bucketed histogram needs positive values
                 self._metrics.latency.labels(backend=backend).observe(float(t_lb))
 
-    def observe_batch(self, backend: str, samples) -> None:
-        """Fold a burst of ``(time, t_lb)`` samples for one backend.
-
-        Equivalent to calling :meth:`observe` per sample, with the
-        per-backend state lookup and the instrument/quality presence
-        checks hoisted out of the loop — the seam the batched T_LB
-        observe path (:meth:`EnsembleTimeout.observe_batch` output)
-        feeds directly.
-        """
-        if not samples:
-            return
-        state = self._backends.get(backend)
-        if state is None:
-            state = _BackendState(self.config)
-            self._backends[backend] = state
-        ewma_observe = state.ewma.observe
-        window_observe = state.window.observe
-        quality = self._quality
-        metrics = self._metrics
-        for now, t_lb in samples:
-            if t_lb < 0:
-                raise ValueError("negative latency sample: %d" % t_lb)
-            value = float(t_lb)
-            ewma_observe(now, value)
-            window_observe(value)
-            state.samples += 1
-            state.last_sample_at = now
-            self.total_samples += 1
-            if quality is not None:
-                quality.observe(backend, now, value)
-            if metrics is not None:
-                metrics.samples.labels(backend=backend).inc()
-                if t_lb > 0:  # the log-bucketed histogram needs positive values
-                    metrics.latency.labels(backend=backend).observe(value)
-
     def estimate(self, backend: str) -> Optional[float]:
         """Current estimate for ``backend`` (ns), or None if unknown."""
         state = self._backends.get(backend)

@@ -14,7 +14,6 @@ Fault injection lives in :mod:`repro.faults` (the chaos plane);
 """
 
 from repro.harness.config import (
-    DelayInjection,
     NetworkParams,
     PolicyName,
     ScenarioConfig,
@@ -42,7 +41,6 @@ __all__ = [
     "run_reaction",
     "run_error_decomposition",
     "NetworkParams",
-    "DelayInjection",
     "PolicyName",
     "ScenarioConfig",
     "Scenario",

@@ -13,15 +13,13 @@ Retransmissions re-carry boundaries; receivers de-duplicate by offset.
 
 Two representations share this model:
 
-* :class:`Packet` — a plain object, one per packet.  This is the API
-  surface (tests, traces, reports construct and read these) and the
-  wire format of *object mode* simulations.
-* :class:`PacketSlab` — array-of-arrays storage for *slab mode*: every
-  field lives in a flat parallel column and a packet is just an integer
-  handle into them.  A free list recycles handles deterministically
-  (LIFO), endpoints and flow keys are interned once per connection, and
-  :meth:`PacketSlab.materialize` produces an independent :class:`Packet`
-  snapshot for cold paths (packet traces, reports, campaign audits).
+* :class:`PacketSlab` — the wire format: every field lives in a flat
+  parallel column and a packet in flight is just an integer handle into
+  them.  A free list recycles handles deterministically (LIFO), and
+  endpoints and flow keys are interned once per connection.
+* :class:`Packet` — a plain object snapshot.
+  :meth:`PacketSlab.materialize` produces one for cold paths that keep
+  packets past delivery (packet traces, reports, campaign audits).
 
 Flags are plain ints on the hot path — module-level ``FLAG_*`` constants
 mirror the :class:`TcpFlags` enum, whose members compare and combine
@@ -33,7 +31,7 @@ int ``&`` directly, skipping enum ``__and__`` machinery.
 from __future__ import annotations
 
 import enum
-from typing import Any, List, NamedTuple, Optional, Sequence
+from typing import Any, List, NamedTuple, Optional
 
 from repro.net.addr import Endpoint, FlowKey
 
@@ -92,7 +90,7 @@ def _next_packet_id() -> int:
 
 
 class Packet:
-    """A simulated TCP segment (object view).
+    """A simulated TCP segment (object snapshot of a slab record).
 
     ``size_bytes`` (header + payload) is what links charge for
     serialization.  ``sent_at`` is stamped by the sender for tracing and
@@ -237,8 +235,7 @@ class PacketSlab:
     ``Endpoint``/:class:`FlowKey` objects to small ints once, and every
     packet carries ``src_i``/``dst_i``/``fid`` ints instead of object
     references.  ``flow(h)`` returns the real interned :class:`FlowKey`
-    (a list index, no allocation), which is what routing policies hash —
-    so backend selection is byte-identical to object mode.
+    (a list index, no allocation), which is what routing policies hash.
 
     Ownership discipline: whoever holds a handle owns it.  ``Pipe.send``
     takes ownership (drops free the handle); delivery transfers it to
@@ -339,7 +336,7 @@ class PacketSlab:
         """Allocate a packet record; returns its handle.
 
         Draws from the same global packet-id counter as :class:`Packet`
-        construction, so ids match object mode packet-for-packet.
+        construction, so packet ids stay unique across both forms.
         """
         global _packet_counter
         _packet_counter += 1
@@ -372,102 +369,9 @@ class PacketSlab:
             self.retransmit.append(retransmit)
         return h
 
-    def alloc_batch(
-        self,
-        src_i: int,
-        dst_i: int,
-        fid: int,
-        flags: int,
-        seqs: Sequence[int],
-        ack: int,
-        payload_len: int,
-        boundaries: Optional[List[MessageBoundary]],
-        sent_at: int,
-        retransmit: bool = False,
-    ) -> List[int]:
-        """Allocate one record per entry in ``seqs``; returns the handles.
-
-        Every field except ``seq`` is shared across the batch — the shape
-        a sender streaming one flow produces.  Handle values, recycling
-        order, and packet ids are exactly what ``len(seqs)`` sequential
-        :meth:`alloc` calls would have produced; the bulk path just
-        replaces the per-packet Python work with C-level column extends
-        when the free list is short.
-        """
-        global _packet_counter
-        n = len(seqs)
-        if n == 0:
-            return []
-        free = self._free
-        pid = _packet_counter
-        _packet_counter = pid + n
-        handles: List[int] = []
-        i = 0
-        if free:
-            # Drain the free list first (LIFO, matching sequential
-            # alloc), one column at a time so each loop stays tight.
-            take = len(free) if len(free) < n else n
-            grabbed = free[-take:]
-            del free[-take:]
-            grabbed.reverse()
-            cols = (
-                self.flags,
-                self.ack,
-                self.payload_len,
-                self.boundaries,
-                self.sent_at,
-                self.src_i,
-                self.dst_i,
-                self.fid,
-                self.retransmit,
-            )
-            values = (
-                flags,
-                ack,
-                payload_len,
-                boundaries,
-                sent_at,
-                src_i,
-                dst_i,
-                fid,
-                retransmit,
-            )
-            for col, value in zip(cols, values):
-                for h in grabbed:
-                    col[h] = value
-            seq_col = self.seq
-            id_col = self.packet_id
-            for h, s in zip(grabbed, seqs):
-                seq_col[h] = s
-            for h in grabbed:
-                pid += 1
-                id_col[h] = pid
-            handles = grabbed
-            i = take
-        if i < n:
-            k = n - i
-            base = len(self.flags)
-            self.flags.extend([flags] * k)
-            self.seq.extend(seqs[i:])
-            self.ack.extend([ack] * k)
-            self.payload_len.extend([payload_len] * k)
-            self.boundaries.extend([boundaries] * k)
-            self.sent_at.extend([sent_at] * k)
-            self.src_i.extend([src_i] * k)
-            self.dst_i.extend([dst_i] * k)
-            self.fid.extend([fid] * k)
-            self.packet_id.extend(range(pid + 1, pid + 1 + k))
-            self.retransmit.extend([retransmit] * k)
-            handles.extend(range(base, base + k))
-        return handles
-
     def free(self, handle: int) -> None:
         """Recycle ``handle``.  The owner calls this exactly once."""
         self._free.append(handle)
-
-    def free_batch(self, handles: Sequence[int]) -> None:
-        """Recycle a batch; equivalent to sequential :meth:`free` calls."""
-        self._free.extend(handles)
 
     # -- views ----------------------------------------------------------
 

@@ -25,33 +25,23 @@ re-arm long deadlines (retransmit timers bumped on every ACK) cannot grow
 the heap without bound.  :attr:`Simulator.live_events` excludes
 tombstones; :attr:`Simulator.pending_events` includes them.
 
-Two batching surfaces let bulk producers skip the per-event heap churn:
+The pipe delivery pump (:mod:`repro.net.pipe`) delivers consecutive
+arrivals *inline* inside one engine event.  The engine exposes the
+contract it needs: :attr:`Simulator.inline_ok` /
+:attr:`Simulator.inline_until` (set only while an unbounded drain is
+running) and :meth:`Simulator.next_key` (the heap key the next inline
+delivery must precede).  Each inline delivery advances the clock and
+the event counter itself, so ``events_processed`` and report footers
+are identical to the one-event-per-packet trajectory.
 
-* :meth:`Simulator.schedule_fire_many` accepts a sorted *column* of fire
-  times sharing one callback.  The column is kept in a side "run lane"
-  (one entry per column, not per event) and merged against the heap in
-  bisect-bounded chunks; a scheduling version counter forces a re-merge
-  whenever a callback schedules new work, so ordering stays exactly what
-  per-event pushes would have produced.
-* The pipe delivery pump (:mod:`repro.net.pipe`) delivers consecutive
-  arrivals *inline* inside one engine event.  The engine exposes the
-  contract it needs: :attr:`Simulator.inline_ok` /
-  :attr:`Simulator.inline_until` (set only while an unbounded drain is
-  running), :meth:`Simulator.next_key` (the heap/run-lane key the next
-  inline delivery must precede), and :meth:`Simulator.inline_fire`
-  (advances the clock and the event counter per delivered packet, so
-  ``events_processed`` and report footers are identical to the
-  one-event-per-packet trajectory).
-
-Work parked *outside* the heap (pipe arrival queues, run-lane columns)
-is tracked separately so load metrics stay honest: a 1k-packet batch
-must not read as queue depth 1.  :meth:`Simulator.note_parked` feeds
-:attr:`Simulator.parked_packets`, :attr:`Simulator.pending_load`, and
-the :attr:`Simulator.peak_load` high-water mark, while the legacy
-:attr:`Simulator.peak_queue_depth` keeps its historical heap-entry
-semantics (a "phantom" entry stands in for the heap slot the old
-per-packet pump would have occupied mid-batch, so the metric's
-trajectory is unchanged).
+Packets parked *outside* the heap (pipe arrival queues) are tracked
+separately so load metrics stay honest: a 1k-packet backlog must not
+read as queue depth 1.  Pipes feed :attr:`Simulator.parked_packets`,
+which :attr:`Simulator.pending_load` and the :attr:`Simulator.peak_load`
+high-water mark include, while :attr:`Simulator.peak_queue_depth` keeps
+its historical heap-entry semantics (a "phantom" entry stands in for
+the heap slot the per-packet pump would have occupied mid-batch, so
+the metric's trajectory is unchanged).
 
 Example
 -------
@@ -67,8 +57,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from bisect import bisect_left, bisect_right
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -135,17 +124,9 @@ class Simulator:
         self._running = False
         self._events_processed = 0
         self._peak_queue_depth = 0
-        # Run lane: unordered list of [next_time, next_seq, idx, times,
-        # callback] columns from schedule_fire_many.  Scanned with min()
-        # (columns are few); entries are mutated in place as they drain.
-        self._runs: List[list] = []
-        self._run_pending = 0
-        # Bumped on every push (heap or run lane); chunked drains re-merge
-        # when a callback dirtied the schedule mid-chunk.
-        self._version = 0
-        # Heap entries the old one-event-per-packet pump *would* have
-        # held while a batch drain is mid-flight; keeps peak_queue_depth
-        # byte-identical to the per-packet trajectory.
+        # Heap entries the one-event-per-packet pump *would* have held
+        # while an inline drain is mid-flight (0 or 1, set by the pipe
+        # pump); keeps peak_queue_depth on the per-packet trajectory.
         self._phantom = 0
         # Honest load accounting: work parked outside the heap (pipe
         # arrival queues) plus its high-water mark including the heap.
@@ -179,12 +160,12 @@ class Simulator:
         left tombstones behind; use :attr:`live_events` for the number of
         events that will actually fire.
         """
-        return len(self._queue) + self._run_pending
+        return len(self._queue)
 
     @property
     def live_events(self) -> int:
         """Events still queued that will actually fire (no tombstones)."""
-        return len(self._queue) - self._tombstones + self._run_pending
+        return len(self._queue) - self._tombstones
 
     @property
     def peak_queue_depth(self) -> int:
@@ -197,7 +178,8 @@ class Simulator:
 
         The per-pipe pump keeps one heap entry per pipe no matter how
         many packets wait behind it; this counter is where those packets
-        show up.  Fed by :meth:`note_parked`.
+        show up.  Pipes adjust it as packets enter and leave their
+        arrival queues.
         """
         return self._parked
 
@@ -208,27 +190,12 @@ class Simulator:
         Unlike :attr:`live_events`, a pipe holding 1000 queued arrivals
         behind its single pump entry reports 1000 here, not 1.
         """
-        return len(self._queue) - self._tombstones + self._run_pending + self._parked
+        return len(self._queue) - self._tombstones + self._parked
 
     @property
     def peak_load(self) -> int:
         """High-water mark of :attr:`pending_load`."""
         return self._peak_load
-
-    def note_parked(self, delta: int) -> None:
-        """Adjust :attr:`parked_packets` by ``delta`` (may be negative).
-
-        Called by pipes as packets enter/leave their arrival queues, so
-        the load high-water mark sees every parked packet even though
-        only one heap entry per pipe exists.
-        """
-        self._parked += delta
-        if delta > 0:
-            load = (
-                len(self._queue) - self._tombstones + self._run_pending + self._parked
-            )
-            if load > self._peak_load:
-                self._peak_load = load
 
     @property
     def inline_ok(self) -> bool:
@@ -243,13 +210,11 @@ class Simulator:
     def next_key(self) -> Optional[Tuple[int, int]]:
         """``(time, seq)`` of the next live scheduled event, or None.
 
-        Skips (and discards) cancelled heap heads, and considers run-lane
-        columns.  The pipe pump must only deliver an arrival inline while
-        the arrival's key precedes this one — otherwise an interleaved
-        event would be reordered.
+        Skips (and discards) cancelled heap heads.  The pipe pump must
+        only deliver an arrival inline while the arrival's key precedes
+        this one — otherwise an interleaved event would be reordered.
         """
         queue = self._queue
-        key: Optional[Tuple[int, int]] = None
         while queue:
             head = queue[0]
             payload = head[2]
@@ -257,45 +222,8 @@ class Simulator:
                 heapq.heappop(queue)
                 self._tombstones -= 1
                 continue
-            key = (head[0], head[1])
-            break
-        runs = self._runs
-        if runs:
-            run = runs[0] if len(runs) == 1 else min(runs)
-            run_key = (run[0], run[1])
-            if key is None or run_key < key:
-                key = run_key
-        return key
-
-    def inline_fire(self, time: int) -> None:
-        """Account one inline-delivered packet at virtual time ``time``.
-
-        The pump calls this for every arrival it delivers *after* the
-        first one in its engine event, so ``events_processed`` counts
-        exactly what the one-event-per-packet pump would have counted.
-        """
-        self._now = time
-        self._events_processed += 1
-
-    def inline_fire_batch(self, time: int, count: int) -> None:
-        """Account ``count`` inline deliveries at ``time`` in one call.
-
-        The pump's bulk drain uses this when an entire same-instant batch
-        is delivered through one callback: ``events_processed`` advances
-        by exactly what per-packet :meth:`inline_fire` calls would have
-        accumulated.
-        """
-        self._now = time
-        self._events_processed += count
-
-    def set_phantom(self, count: int) -> None:
-        """Stand-in heap entries for a batch drain in progress.
-
-        While the pump delivers arrivals inline, the old per-packet pump
-        would have kept one re-armed heap entry alive; ``count`` (0 or 1)
-        keeps :attr:`peak_queue_depth` on that exact trajectory.
-        """
-        self._phantom = count
+            return (head[0], head[1])
+        return None
 
     def set_profiler(self, profiler) -> None:
         """Install (or remove, with None) a per-event dispatch observer."""
@@ -318,12 +246,9 @@ class Simulator:
                 "cannot schedule at t=%d, already at t=%d" % (time, self._now)
             )
         self._seq += 1
-        self._version += 1
         handle = EventHandle(time, self._seq, callback, self)
         heapq.heappush(self._queue, (time, self._seq, handle))
-        # _note_push() inlined: this and schedule_fire_at are the two
-        # hottest push sites.
-        depth = len(self._queue) + self._run_pending + self._phantom
+        depth = len(self._queue) + self._phantom
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
         load = depth - self._phantom - self._tombstones + self._parked
@@ -362,52 +287,13 @@ class Simulator:
         if seq is None:
             self._seq += 1
             seq = self._seq
-        self._version += 1
         heapq.heappush(self._queue, (time, seq, callback))
-        depth = len(self._queue) + self._run_pending + self._phantom
+        depth = len(self._queue) + self._phantom
         if depth > self._peak_queue_depth:
             self._peak_queue_depth = depth
         load = depth - self._phantom - self._tombstones + self._parked
         if load > self._peak_load:
             self._peak_load = load
-
-    def _note_push(self) -> None:
-        """Peak bookkeeping after any push (heap or run lane)."""
-        depth = len(self._queue) + self._run_pending + self._phantom
-        if depth > self._peak_queue_depth:
-            self._peak_queue_depth = depth
-        load = depth - self._phantom - self._tombstones + self._parked
-        if load > self._peak_load:
-            self._peak_load = load
-
-    def schedule_fire_many(
-        self, times: Sequence[int], callback: Callable[[], None]
-    ) -> None:
-        """Schedule a sorted column of fire-and-forget events at once.
-
-        ``times`` are absolute timestamps, non-decreasing, none in the
-        past.  The whole column costs one run-lane entry instead of
-        ``len(times)`` heap pushes; consecutive sequence numbers are
-        reserved so ties against heap events break exactly as if each
-        event had been pushed individually at call time.  The list is
-        owned by the simulator after the call — don't mutate it.
-        """
-        n = len(times)
-        if n == 0:
-            return
-        col = list(times)
-        if col[0] < self._now:
-            raise SimulationError(
-                "cannot schedule at t=%d, already at t=%d" % (col[0], self._now)
-            )
-        if n > 1 and col != sorted(col):
-            raise SimulationError("schedule_fire_many times must be non-decreasing")
-        base = self._seq + 1
-        self._seq += n
-        self._version += 1
-        self._runs.append([col[0], base, 0, col, callback])
-        self._run_pending += n
-        self._note_push()
 
     def reserve_seq(self) -> int:
         """Claim the next tie-breaking sequence number without scheduling.
@@ -418,17 +304,6 @@ class Simulator:
         """
         self._seq += 1
         return self._seq
-
-    def reserve_seq_block(self, n: int) -> int:
-        """Claim ``n`` consecutive tie-breaking seqs; returns the first.
-
-        Equivalent to ``n`` :meth:`reserve_seq` calls — the batch send
-        path uses this so a whole wave of packets keeps the exact tie
-        order per-packet sends would have reserved.
-        """
-        first = self._seq + 1
-        self._seq += n
-        return first
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Run until the queue drains (or ``max_events`` fire).
@@ -470,22 +345,6 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the single next live event.  Returns False if none remain."""
-        if self._runs:
-            run = self._runs[0] if len(self._runs) == 1 else min(self._runs)
-            key = None
-            queue = self._queue
-            while queue:
-                head = queue[0]
-                payload = head[2]
-                if payload.__class__ is EventHandle and payload._cancelled:
-                    heapq.heappop(queue)
-                    self._tombstones -= 1
-                    continue
-                key = (head[0], head[1])
-                break
-            if key is None or (run[0], run[1]) < key:
-                self._fire_run_event(run)
-                return True
         while self._queue:
             time, _seq, payload = heapq.heappop(self._queue)
             if payload.__class__ is EventHandle:
@@ -505,26 +364,6 @@ class Simulator:
             return True
         return False
 
-    def _fire_run_event(self, run: list) -> None:
-        """Fire exactly the head event of one run-lane column."""
-        times = run[3]
-        idx = run[2]
-        self._now = times[idx]
-        self._run_pending -= 1
-        idx += 1
-        if idx >= len(times):
-            self._runs.remove(run)
-        else:
-            run[0] = times[idx]
-            run[1] += 1
-            run[2] = idx
-        self._events_processed += 1
-        callback = run[4]
-        if self._profiler is None:
-            callback()
-        else:
-            self._profiler.run(callback)
-
     def _drain(self, until: Optional[int], max_events: Optional[int]) -> int:
         if self._running:
             raise SimulationError("re-entrant run() call")
@@ -537,34 +376,11 @@ class Simulator:
         start = self._events_processed
         processed = 0
         queue = self._queue
-        runs = self._runs
         heappop = heapq.heappop
         profiler = self._profiler
         handle_class = EventHandle
         try:
-            while True:
-                if runs:
-                    run = runs[0] if len(runs) == 1 else min(runs)
-                    # Skip dead heap heads so the merge compares live keys.
-                    while queue:
-                        head = queue[0]
-                        payload = head[2]
-                        if payload.__class__ is handle_class and payload._cancelled:
-                            heappop(queue)
-                            self._tombstones -= 1
-                            continue
-                        break
-                    if not queue or (run[0], run[1]) < (queue[0][0], queue[0][1]):
-                        if until is not None and run[0] > until:
-                            break
-                        if max_events is not None and processed >= max_events:
-                            break
-                        processed += self._fire_run_chunk(
-                            run, until, max_events, processed, profiler
-                        )
-                        continue
-                elif not queue:
-                    break
+            while queue:
                 entry = queue[0]
                 payload = entry[2]
                 is_handle = payload.__class__ is handle_class
@@ -594,80 +410,9 @@ class Simulator:
             self._inline_ok = False
             self._until = None
             # Inline pump deliveries already bumped _events_processed
-            # directly; fold in the heap/run events fired by this frame.
+            # directly; fold in the heap events fired by this frame.
             self._events_processed += processed
         return self._events_processed - start
-
-    def _fire_run_chunk(
-        self,
-        run: list,
-        until: Optional[int],
-        max_events: Optional[int],
-        processed: int,
-        profiler,
-    ) -> int:
-        """Fire the longest safe prefix of one run-lane column.
-
-        The chunk is bounded by the heap head's key (events interleave
-        exactly as per-event pushes would), by ``until``/``max_events``,
-        and by the scheduling version: the tight loop bails as soon as a
-        callback schedules anything, letting the caller re-merge.
-        """
-        queue = self._queue
-        times = run[3]
-        idx = run[2]
-        n = len(times)
-        # The chunk must stop at the next event from ANY other lane —
-        # the heap head or a sibling run column.
-        bound = (queue[0][0], queue[0][1]) if queue else None
-        for other in self._runs:
-            if other is not run:
-                other_key = (other[0], other[1])
-                if bound is None or other_key < bound:
-                    bound = other_key
-        if bound is not None:
-            hi = bisect_left(times, bound[0], idx, n)
-            if hi == idx:
-                # Head event shares the bound's timestamp but wins the
-                # seq tie (caller checked); fire just that one.
-                hi = idx + 1
-        else:
-            hi = n
-        if until is not None and times[hi - 1] > until:
-            hi = bisect_right(times, until, idx, hi)
-        if max_events is not None:
-            budget = max_events - processed
-            if hi - idx > budget:
-                hi = idx + budget
-        callback = run[4]
-        version = self._version
-        # Iterate a slice instead of indexing: the for-loop's C-level
-        # iteration is ~3x faster per event than `times[idx]; idx += 1`,
-        # and this loop is the engine's dispatch ceiling.
-        fired = 0
-        if profiler is None:
-            for t in times[idx:hi]:
-                self._now = t
-                callback()
-                fired += 1
-                if self._version != version:
-                    break
-        else:
-            for t in times[idx:hi]:
-                self._now = t
-                profiler.run(callback)
-                fired += 1
-                if self._version != version:
-                    break
-        idx += fired
-        self._run_pending -= fired
-        if idx >= n:
-            self._runs.remove(run)
-        else:
-            run[0] = times[idx]
-            run[1] += fired
-            run[2] = idx
-        return fired
 
     # ------------------------------------------------------------------
     # Tombstone hygiene

@@ -6,10 +6,44 @@ import pytest
 
 from repro.net.addr import Endpoint
 from repro.net.network import Network
+from repro.net.packet import Packet, PacketSlab
 from repro.sim.engine import Simulator
 from repro.transport.connection import TransportConfig
 from repro.transport.endpoint import Host
 from repro.units import GIGABITS_PER_SECOND, MICROSECONDS
+
+
+def load_packet(slab: PacketSlab, packet: Packet) -> int:
+    """Load a hand-built ``packet`` into ``slab``; returns its handle.
+
+    The inverse of :meth:`PacketSlab.materialize`: interns the endpoints
+    and the flow, then allocates a record carrying every field (the
+    packet id is freshly drawn, like any allocation).  Tests use it to
+    inject exact segments into the handle-based dataplane.
+    """
+    src_i = slab.intern_endpoint(packet.src)
+    dst_i = slab.intern_endpoint(packet.dst)
+    return slab.alloc(
+        src_i,
+        dst_i,
+        slab.intern_flow(src_i, dst_i),
+        packet.flags,
+        packet.seq,
+        packet.ack,
+        packet.payload_len,
+        list(packet.boundaries) if packet.boundaries else None,
+        packet.sent_at,
+        packet.retransmit,
+    )
+
+
+def assert_slab_hygiene(network: Network) -> None:
+    """At a run's cut-off every live slab handle is a packet still parked
+    in some pipe's arrival queue: nothing leaked, nothing freed twice."""
+    pipes = network.pipes().values()
+    assert network.slab.capacity > 0  # the run carried packets
+    assert network.slab.live == network.sim.parked_packets
+    assert network.sim.parked_packets == sum(p.in_flight for p in pipes)
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ import pytest
 
 from repro.app.server import ServerConfig
 from repro.errors import ConfigError
+from repro.faults import DelayFault
 from repro.harness.config import (
-    DelayInjection,
     NetworkParams,
     PolicyName,
     ScenarioConfig,
@@ -37,29 +37,6 @@ class TestNetworkParams:
             NetworkParams(client_lb_delay_overrides=[-1]).validate()
 
 
-class TestDelayInjection:
-    def test_construction_warns_deprecated(self):
-        with pytest.deprecated_call():
-            DelayInjection(at=0, server="s0", extra=1000)
-
-    def test_valid(self):
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=0, server="s0", extra=1000)
-        injection.validate()
-
-    def test_negative_rejected(self):
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=-1, server="s0", extra=0)
-        with pytest.raises(ConfigError):
-            injection.validate()
-
-    def test_end_before_start_rejected(self):
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=100, server="s0", extra=1, end=100)
-        with pytest.raises(ConfigError):
-            injection.validate()
-
-
 class TestScenarioConfig:
     def test_defaults_valid(self):
         ScenarioConfig().validate()
@@ -89,9 +66,8 @@ class TestScenarioConfig:
             ScenarioConfig(duration=SECONDS, warmup=SECONDS).validate()
 
     def test_injection_within_duration(self):
-        with pytest.deprecated_call():
-            injection = DelayInjection(at=2 * SECONDS, server="server0", extra=1)
-        config = ScenarioConfig(duration=SECONDS, injections=[injection])
+        fault = DelayFault(start=2 * SECONDS, extra=1, node="server0")
+        config = ScenarioConfig(duration=SECONDS, faults=[fault])
         with pytest.raises(ConfigError):
             config.validate()
 

@@ -9,6 +9,7 @@ from repro.net.addr import Endpoint
 from repro.net.network import Network
 from repro.net.packet import Packet, TcpFlags
 from repro.sim.engine import Simulator
+from tests.conftest import load_packet
 
 
 class RecorderNode:
@@ -39,6 +40,13 @@ def build_lb(sim, n_servers=2, policy_cls=RoundRobin):
     return network, client, servers, pool, lb
 
 
+def send(network, packet):
+    """Send a hand-built packet from the client through the LB."""
+    handle = load_packet(network.slab, packet)
+    network.send_from("client", handle)
+    return handle
+
+
 def vip_packet(port=40_000, flags=TcpFlags.SYN, payload=0):
     return Packet(
         src=Endpoint("client", port),
@@ -51,8 +59,8 @@ def vip_packet(port=40_000, flags=TcpFlags.SYN, payload=0):
 class TestForwarding:
     def test_syn_routed_by_policy(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
-        network.send_from("client", vip_packet(port=1))
-        network.send_from("client", vip_packet(port=2))
+        send(network, vip_packet(port=1))
+        send(network, vip_packet(port=2))
         sim.run()
         assert len(servers[0].received) == 1
         assert len(servers[1].received) == 1
@@ -60,20 +68,20 @@ class TestForwarding:
 
     def test_destination_left_intact_for_dsr(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
-        network.send_from("client", vip_packet())
+        send(network, vip_packet())
         sim.run()
-        delivered = servers[0].received[0]
+        delivered = network.slab.materialize(servers[0].received[0])
         assert delivered.dst == Endpoint("vip", 80)
 
     def test_affinity_overrides_policy(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
         # Same flow: first SYN picks s0 (round robin), then data packets
         # must stick to s0 even though RR would rotate.
-        network.send_from("client", vip_packet(port=7, flags=TcpFlags.SYN))
+        send(network, vip_packet(port=7, flags=TcpFlags.SYN))
         sim.run()
         for _ in range(3):
-            network.send_from(
-                "client", vip_packet(port=7, flags=TcpFlags.ACK, payload=100)
+            send(
+                network, vip_packet(port=7, flags=TcpFlags.ACK, payload=100)
             )
         sim.run()
         assert len(servers[0].received) == 4
@@ -82,8 +90,8 @@ class TestForwarding:
     def test_non_syn_miss_falls_back_to_policy(self, sim):
         network, client, servers, pool, lb = build_lb(sim, policy_cls=MaglevPolicy)
         # No SYN ever seen (conntrack lost): mid-stream packet still routed.
-        network.send_from(
-            "client", vip_packet(port=9, flags=TcpFlags.ACK, payload=10)
+        send(
+            network, vip_packet(port=9, flags=TcpFlags.ACK, payload=10)
         )
         sim.run()
         assert lb.stats.conntrack_fallbacks == 1
@@ -92,19 +100,19 @@ class TestForwarding:
     def test_wrong_vip_dropped(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
         stray = Packet(src=Endpoint("client", 1), dst=Endpoint("other-vip", 80))
-        network.send_from("client", stray) if False else lb.on_packet(stray)
+        lb.on_packet(load_packet(network.slab, stray))
         assert lb.stats.packets_dropped_no_backend == 1
         assert all(not s.received for s in servers)
 
     def test_fin_marks_conntrack_closing(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
-        network.send_from("client", vip_packet(port=3))
+        send(network, vip_packet(port=3))
         sim.run()
-        network.send_from(
-            "client", vip_packet(port=3, flags=TcpFlags.FIN | TcpFlags.ACK)
+        fin = send(
+            network, vip_packet(port=3, flags=TcpFlags.FIN | TcpFlags.ACK)
         )
         sim.run()
-        entry = lb.conntrack._entries[vip_packet(port=3).flow]
+        entry = lb.conntrack._entries[network.slab.fid[fin]]
         assert entry.closing_at is not None
 
 
@@ -113,7 +121,7 @@ class TestTaps:
         network, client, servers, pool, lb = build_lb(sim)
         seen = []
         lb.add_tap(lambda now, flow, backend, pkt: seen.append((now, flow, backend)))
-        network.send_from("client", vip_packet(port=5))
+        send(network, vip_packet(port=5))
         sim.run()
         assert len(seen) == 1
         now, flow, backend = seen[0]
@@ -124,9 +132,9 @@ class TestTaps:
         network, client, servers, pool, lb = build_lb(sim)
         seen = []
         lb.add_tap(lambda now, flow, backend, pkt: seen.append(pkt))
-        network.send_from("client", vip_packet(port=5))
+        send(network, vip_packet(port=5))
         sim.run()
-        network.send_from("client", vip_packet(port=5, flags=TcpFlags.ACK, payload=9))
+        send(network, vip_packet(port=5, flags=TcpFlags.ACK, payload=9))
         sim.run()
         assert len(seen) == 2
 
@@ -135,7 +143,7 @@ class TestStats:
     def test_per_backend_counters_and_share(self, sim):
         network, client, servers, pool, lb = build_lb(sim)
         for port in range(10):
-            network.send_from("client", vip_packet(port=port))
+            send(network, vip_packet(port=port))
         sim.run()
         assert lb.stats.packets_forwarded == 10
         share = lb.backend_share()

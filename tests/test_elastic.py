@@ -9,6 +9,7 @@ from repro.harness.elastic import (
     race_table,
     run_elastic,
 )
+from tests.conftest import assert_slab_hygiene
 
 MINI = dict(
     duration=units.seconds(0.4),
@@ -62,6 +63,9 @@ class TestElasticScenario:
 
     def test_stability_clock_is_non_negative(self, mini_run):
         assert mini_run.time_to_stable_ms() >= 0.0
+
+    def test_slab_holds_only_parked_packets_at_cutoff(self, mini_run):
+        assert_slab_hygiene(mini_run.scenario.feedback.lb.network)
 
 
 class TestRaceRows:

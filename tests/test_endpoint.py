@@ -8,7 +8,7 @@ from repro.net.network import Network
 from repro.transport.endpoint import Host
 from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
 
-from tests.conftest import make_echo_server
+from tests.conftest import load_packet, make_echo_server
 
 
 class TestListeners:
@@ -89,8 +89,10 @@ class TestDemux:
         stale = Packet(
             src=conn.remote, dst=conn.local, flags=TcpFlags.ACK, seq=1, ack=1
         )
-        pair.client.on_packet(stale)  # must not raise
+        handle = load_packet(pair.network.slab, stale)
+        pair.client.on_packet(handle)  # must not raise
         assert pair.client.connection_count == 0
+        assert pair.network.slab.live == 0  # the host freed the stray
 
 
 class TestVipAlias:

@@ -13,6 +13,7 @@ from repro.core.ensemble import (
     detect_cliff_index,
 )
 from repro.units import MICROSECONDS, MILLISECONDS
+from tests.ensemble_oracle import NaiveEnsembleTimeout
 
 
 def feed_regular_batches(ensemble, rtt, duration, burst=4, intra_gap=2 * MICROSECONDS):
@@ -190,9 +191,10 @@ class TestTimeoutAdaptation:
 
 
 def assert_paths_agree(config, trace):
-    """Feed ``trace`` to a fused and a naive ensemble; all outputs match."""
-    fused = EnsembleTimeout(config, fused=True)
-    naive = EnsembleTimeout(config, fused=False)
+    """Feed ``trace`` to the fused ensemble and the literal oracle; all
+    outputs match."""
+    fused = EnsembleTimeout(config)
+    naive = NaiveEnsembleTimeout(config)
     for now in trace:
         assert fused.observe(now) == naive.observe(now), "at t=%d" % now
     assert fused.sample_counts() == naive.sample_counts()
@@ -207,7 +209,8 @@ def assert_paths_agree(config, trace):
 
 
 class TestFusedDifferential:
-    """The O(log k) fused path is byte-identical to the naive k-loop."""
+    """The O(log k) fused path is byte-identical to the naive k-loop
+    (the oracle in ``tests/ensemble_oracle.py``)."""
 
     def test_gaps_straddling_every_delta(self):
         """Bursty trace whose gaps land on, below, and above each δᵢ."""
@@ -275,9 +278,6 @@ class TestFusedDifferential:
             t += gap
             trace.append(t)
         assert_paths_agree(config, trace)
-
-    def test_fused_is_default(self):
-        assert EnsembleTimeout().fused is True
 
 
 class TestEpochBoundaries:

@@ -12,6 +12,7 @@ from repro.net.addr import Endpoint
 from repro.net.network import Network
 from repro.net.packet import Packet, TcpFlags
 from repro.units import MICROSECONDS, MILLISECONDS
+from tests.conftest import load_packet
 
 
 class RecorderNode:
@@ -21,6 +22,11 @@ class RecorderNode:
 
     def on_packet(self, packet):
         self.received.append(packet)
+
+
+def send_client(network, packet):
+    """Send a hand-built client→VIP packet toward the LB."""
+    network.send_from("client", load_packet(network.slab, packet))
 
 
 def build(sim, control=True, min_samples=1):
@@ -54,8 +60,8 @@ def drive_flow(sim, network, port, batch_times, burst=3,
             flags = TcpFlags.SYN if (batch_start == batch_times[0] and i == 0) else TcpFlags.ACK
 
             def fire(w=when, f=flags, p=port):
-                network.send_from(
-                    "client",
+                send_client(
+                    network,
                     Packet(
                         src=Endpoint("client", p),
                         dst=Endpoint("vip", 80),
@@ -110,8 +116,8 @@ class TestMeasurement:
         drive_flow(sim, network, 40_000, [i * 500 * MICROSECONDS for i in range(10)])
         sim.run()
         assert len(feedback.flows) == 1
-        network.send_from(
-            "client",
+        send_client(
+            network,
             Packet(
                 src=Endpoint("client", 40_000),
                 dst=Endpoint("vip", 80),
@@ -131,8 +137,8 @@ class TestRetransmissionDetection:
         def send(seq, when, flags=TcpFlags.ACK):
             sim.schedule_at(
                 when,
-                lambda: network.send_from(
-                    "client",
+                lambda: send_client(
+                    network,
                     Packet(
                         src=Endpoint("client", 42_000),
                         dst=Endpoint("vip", 80),
@@ -162,8 +168,8 @@ class TestRetransmissionDetection:
             current = seq
 
             def fire(s=current, w=when, f=flags):
-                network.send_from(
-                    "client",
+                send_client(
+                    network,
                     Packet(
                         src=Endpoint("client", 44_000),
                         dst=Endpoint("vip", 80),

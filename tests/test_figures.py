@@ -14,6 +14,7 @@ from repro.harness.figures import (
     run_reaction,
 )
 from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
+from tests.conftest import assert_slab_hygiene
 
 
 SMALL_BACKLOG = BacklogConfig(
@@ -42,6 +43,11 @@ class TestBacklogScenario:
         assert run.lb.pool.names() == ["server0"]
         run.sim.run_until(20 * MILLISECONDS)
         assert run.client.conn.established
+
+    def test_backlog_slab_holds_only_parked_packets_at_cutoff(self):
+        run = build_backlog(SMALL_BACKLOG)
+        run.sim.run_until(SMALL_BACKLOG.step_at + 50 * MILLISECONDS)
+        assert_slab_hygiene(run.lb.network)
 
 
 class TestFig2a:

@@ -30,8 +30,8 @@ class TestDsrInvariant:
         """The defining constraint of §2.4: responses bypass the LB."""
         scenario = build_scenario(small_config())
         seen_sources = set()
-        # The tap's packet argument is a slab handle in slab mode; the
-        # flow key carries the source host either way.
+        # The tap's packet argument is a slab handle; the flow key
+        # carries the source host.
         scenario.lb.add_tap(
             lambda now, flow, backend, pkt: seen_sources.add(flow.src_host)
         )

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.harness.multilb import MultiLbConfig, run_multilb
 from repro.units import MILLISECONDS, SECONDS
+from tests.conftest import assert_slab_hygiene
 
 
 _cache = {}
@@ -28,6 +29,9 @@ class TestTopology:
         result = run()
         for server in result.servers:
             assert server.stats.requests > 0
+
+    def test_slab_holds_only_parked_packets_at_cutoff(self):
+        assert_slab_hygiene(run().lbs[0].network)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

@@ -7,6 +7,7 @@ from repro.errors import ConfigError
 from repro.harness.tiered import TieredScenarioConfig, TieredResult, run_tiered
 from repro.telemetry.quantiles import exact_quantile
 from repro.units import MICROSECONDS, MILLISECONDS, SECONDS
+from tests.conftest import assert_slab_hygiene
 
 
 def light_memtier():
@@ -37,6 +38,9 @@ class TestPlumbing:
         assert result.dependency.stats.requests > 100
         for frontend in result.frontends:
             assert frontend.stats.dependency_calls == frontend.stats.requests
+
+    def test_slab_holds_only_parked_packets_at_cutoff(self):
+        assert_slab_hygiene(run("none").feedback.lb.network)
 
     def test_latency_includes_dependency_round_trip(self):
         result = run("none")
